@@ -12,9 +12,9 @@ BENCHOUT ?= bench.txt
 
 # Benchmark-regression gate settings. BENCHFULL selects the gated
 # benchmarks (the paper-experiment E-suite, the sweep engine fixture,
-# cube construction — the DFA-rank edge build — the column-incremental
-# builder vs from-scratch, the rank/unrank addressing hot path, the
-# MS-BFS distance engine and the streaming Θ analysis); the full run
+# single-cube construction — a column-chain replay from d = 0 — and a
+# whole column through one builder, the rank/unrank addressing hot path,
+# the MS-BFS distance engine and the streaming Θ analysis); the full run
 # uses real iteration counts so bench-full numbers are comparable,
 # unlike the 1-iteration smoke run.
 BENCHFULL      ?= BenchmarkE[0-9]|BenchmarkSweep|BenchmarkConstructCube|BenchmarkColumnBuild|BenchmarkRankUnrank|BenchmarkMSBFS|BenchmarkThetaAnalyze
@@ -62,7 +62,7 @@ STOREOUT      ?= store-report.json
 STOREMAXLEN   ?= 4
 STOREMAXD     ?= 10
 
-.PHONY: all build test race test-json lint fmt vet bench bench-full bench-gate bench-baseline fuzz-smoke cover slo loadgen-compare pack store-gate fabric-gate iso-gate serve clean ci
+.PHONY: all build test race test-json lint fmt vet bench bench-full bench-gate bench-baseline bench-harness fuzz-smoke cover slo loadgen-compare pack store-gate fabric-gate iso-gate serve clean ci
 
 all: build
 
@@ -116,6 +116,13 @@ bench-gate: bench-full
 # honestly.
 bench-baseline: bench-full
 	cp $(BENCHFULLOUT) $(BENCHBASELINE)
+
+# Vet and test the repository benchmark harness. gfcbench/ is a Go module
+# of its own (it reaches the library through a local replace), so the
+# root `go build ./...` and `go test ./...` never compile it; this target
+# catches a library API change that would break the benchmark.
+bench-harness:
+	cd gfcbench && $(GO) vet ./... && $(GO) test ./...
 
 # Short fuzz runs of every Fuzz target in the module (go test accepts a
 # single -fuzz pattern per package invocation, hence the loop). The

@@ -18,8 +18,7 @@
 // With -iso the in-process sweep decides each scan once per verified
 // iso-congruence group and fans the verdict out to the member classes
 // (docs/iso-classes.md); the rendered rows are byte-identical to a plain
-// run. Fabric runs (-resume) always schedule iso-affine shards and
-// ignore the flag.
+// run. Fabric runs (-resume) compute every class and ignore the flag.
 //
 // With -resume the census runs through the sweep fabric into an
 // append-only hash-chained ledger at the given path (created when

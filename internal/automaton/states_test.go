@@ -6,46 +6,6 @@ import (
 	"gfcube/internal/bitstr"
 )
 
-// TestAppendVertexStates cross-checks the annotated enumeration against
-// the plain one: same words in the same order, and each recorded state
-// must equal an independent StateBits replay of the word.
-func TestAppendVertexStates(t *testing.T) {
-	for _, fs := range []string{"1", "11", "101", "1010", "0110"} {
-		a := New(bitstr.MustParse(fs))
-		for d := 0; d <= 9; d++ {
-			verts, states := a.AppendVertexStates(nil, nil, d)
-			plain := a.Vertices(d)
-			if len(verts) != len(plain) || len(states) != len(plain) {
-				t.Fatalf("f=%s d=%d: %d verts / %d states, want %d", fs, d, len(verts), len(states), len(plain))
-			}
-			for i := range verts {
-				if verts[i] != plain[i] {
-					t.Fatalf("f=%s d=%d: vertex %d = %b, want %b", fs, d, i, verts[i], plain[i])
-				}
-				if got := a.StateBits(verts[i], d); got != int(states[i]) {
-					t.Fatalf("f=%s d=%d: state of %b recorded %d, replay %d", fs, d, verts[i], states[i], got)
-				}
-				if int(states[i]) >= a.States() {
-					t.Fatalf("f=%s d=%d: recorded absorbing state for a live vertex", fs, d)
-				}
-			}
-		}
-	}
-}
-
-// TestAppendVertexStatesAppends verifies the lockstep-append contract:
-// existing prefixes of both slices are preserved.
-func TestAppendVertexStatesAppends(t *testing.T) {
-	a := New(bitstr.MustParse("11"))
-	verts, states := a.AppendVertexStates([]uint64{99}, []uint8{7}, 2)
-	if verts[0] != 99 || states[0] != 7 {
-		t.Fatal("AppendVertexStates clobbered the existing prefix")
-	}
-	if len(verts) != 4 || len(states) != 4 { // 3 f-free words of length 2
-		t.Fatalf("lengths %d/%d, want 4/4", len(verts), len(states))
-	}
-}
-
 // TestStateBitsAbsorbing checks the early absorbing-state return on a
 // word containing the factor, including one where the factor occurs
 // strictly inside the word.
@@ -57,14 +17,4 @@ func TestStateBitsAbsorbing(t *testing.T) {
 	if got := a.StateBits(0b0101, 4); got == a.States() {
 		t.Fatal("StateBits(0101) hit the absorbing state on an 11-free word")
 	}
-}
-
-// TestAppendVertexStatesPanicsOutOfRange covers the dimension guard.
-func TestAppendVertexStatesPanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for d out of range")
-		}
-	}()
-	New(bitstr.MustParse("11")).AppendVertexStates(nil, nil, bitstr.MaxLen+1)
 }

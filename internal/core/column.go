@@ -11,8 +11,9 @@ import (
 // Column-cache effectiveness counters, exported on the service and fabric
 // /metrics+/stats surfaces. A "reuse" is a cell served off the cached
 // column (same-d hit or a single-step extension); a "rebuild" is a cell
-// that had to construct from scratch (new factor, a dimension jump, or a
-// cold builder).
+// that had to replay the column from Q_0(f) (new factor, a dimension jump
+// downwards or by more than one, or a cold builder). core.New builds
+// through its own throwaway builder and moves neither counter.
 var (
 	columnReuse   atomic.Uint64
 	columnRebuild atomic.Uint64
@@ -38,10 +39,12 @@ func ColumnCounters() (reuse, rebuild uint64) {
 // docs/incremental-build.md for why the emitted order is already sorted.
 //
 // Advance with the same factor and d equal to the cached dimension or one
-// above it reuses the column; anything else falls back to a from-scratch
-// rebuild (which also re-seeds the column). Produced cubes are
-// byte-identical to New's and own their memory; the builder only retains
-// scratch. Not safe for concurrent use: one per worker, like Scratch.
+// above it reuses the column; anything else rebuilds it: reset to
+// Q_0(f) = {ε} and replay the extension d times, exactly what New does.
+// Every constructed cube is therefore built by extend from that seed (only
+// store loads bypass it), and produced cubes own their memory; the builder
+// only retains scratch. Not safe for concurrent use: one per worker, like
+// Scratch.
 type ColumnBuilder struct {
 	dfa  *automaton.DFA
 	f    bitstr.Word
@@ -56,9 +59,7 @@ type ColumnBuilder struct {
 	// Per-extension scratch, reused across steps.
 	child0, child1 []int32 // old index -> new index of the 0/1-child, -1 if dead
 	statesBuf      []uint8
-	vertsBuf       []uint64
 	csr            *graph.CSRBuilder
-	eb             *graph.Builder // rebuild path's edge arena
 }
 
 // NewColumnBuilder returns an empty builder; buffers grow on first use.
@@ -67,15 +68,15 @@ func NewColumnBuilder() *ColumnBuilder {
 }
 
 // CanAdvance reports whether Advance(d, f) would be served off the cached
-// column (a reuse) rather than a from-scratch rebuild.
+// column (a reuse) rather than a rebuild replayed from d = 0.
 func (b *ColumnBuilder) CanAdvance(d int, f bitstr.Word) bool {
 	return b.cube != nil && b.f == f && d >= 0 && d <= MaxBuildDim &&
 		(d == b.cube.d || d == b.cube.d+1)
 }
 
 // Advance returns Q_d(f), incrementally when the request continues the
-// cached column and from scratch otherwise. The returned cube owns its
-// memory and stays valid across further builder use.
+// cached column and by a replay from Q_0(f) otherwise. The returned cube
+// owns its memory and stays valid across further builder use.
 func (b *ColumnBuilder) Advance(d int, f bitstr.Word) *Cube {
 	checkBuild(d, f)
 	if b.cube != nil && b.f == f {
@@ -88,12 +89,13 @@ func (b *ColumnBuilder) Advance(d int, f bitstr.Word) *Cube {
 				b.annotate()
 			}
 			b.extend()
+			b.cube.rk = b.dfa.Ranker(d)
 			columnReuse.Add(1)
 			return b.cube
 		}
 	}
 	columnRebuild.Add(1)
-	b.rebuild(d, f)
+	b.replay(d, f)
 	return b.cube
 }
 
@@ -120,29 +122,27 @@ func (b *ColumnBuilder) annotate() {
 	b.annotated = true
 }
 
-// rebuild constructs Q_d(f) from scratch through the builder's scratch
-// buffers and re-seeds the column with it, annotation included for free
-// (the enumeration records each word's final DFA state as it goes).
-func (b *ColumnBuilder) rebuild(d int, f bitstr.Word) {
+// replay re-seeds the column with Q_0(f) = {ε} — the empty word, sitting
+// in the DFA start state — and extends it d times. Intermediate cubes are
+// discarded, so only the final one gets rank tables.
+func (b *ColumnBuilder) replay(d int, f bitstr.Word) {
 	if b.dfa == nil || b.f != f {
 		b.dfa = automaton.New(f)
 		b.f = f
 	}
-	b.vertsBuf, b.states = b.dfa.AppendVertexStates(b.vertsBuf[:0], b.states[:0], d)
-	verts := make([]uint64, len(b.vertsBuf))
-	copy(verts, b.vertsBuf)
-	rk := b.dfa.Ranker(d)
-	if b.eb == nil {
-		b.eb = graph.NewBuilder(len(verts))
-	} else {
-		b.eb.Reset(len(verts))
-	}
-	g := buildEdges(verts, rk, b.eb)
-	b.cube = &Cube{d: d, f: f, dfa: b.dfa, rk: rk, verts: verts, g: g}
+	b.csr.Reset(1)
+	b.csr.Seal()
+	b.cube = &Cube{f: f, dfa: b.dfa, verts: []uint64{0}, g: b.csr.Build()}
+	b.states = append(b.states[:0], 0)
 	b.annotated = true
+	for b.cube.d < d {
+		b.extend()
+	}
+	b.cube.rk = b.dfa.Ranker(d)
 }
 
-// extend steps the cached column from d to d+1.
+// extend steps the cached column from d to d+1. The new cube has no rank
+// tables yet; the caller attaches them once the column stops.
 //
 // Vertices: enumerating the old vertices in increasing order and emitting
 // the surviving 0-child before the surviving 1-child yields the new
@@ -282,7 +282,7 @@ func (b *ColumnBuilder) extend() {
 	g := b.csr.Build()
 
 	d := old.d + 1
-	b.cube = &Cube{d: d, f: b.f, dfa: b.dfa, rk: b.dfa.Ranker(d), verts: verts, g: g}
+	b.cube = &Cube{d: d, f: b.f, dfa: b.dfa, verts: verts, g: g}
 	b.states, b.statesBuf = b.statesBuf, b.states
 	b.annotated = true
 }

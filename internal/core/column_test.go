@@ -6,7 +6,33 @@ import (
 	"testing"
 
 	"gfcube/internal/bitstr"
+	"gfcube/internal/graph"
 )
+
+// bruteCube is the construction oracle, independent of the factor
+// automaton and the column chain: every word of length d that passes
+// bitstr's factor test, in increasing packed order, with every pair at
+// Hamming distance 1 joined through the sort/dedup graph.Builder. Only
+// the vertex list and graph are filled in — enough for AppendBinary.
+func bruteCube(d int, f bitstr.Word) *Cube {
+	var verts []uint64
+	index := make(map[uint64]int)
+	for v := uint64(0); v < 1<<uint(d); v++ {
+		if !(bitstr.Word{Bits: v, N: d}).HasFactor(f) {
+			index[v] = len(verts)
+			verts = append(verts, v)
+		}
+	}
+	eb := graph.NewBuilder(len(verts))
+	for i, v := range verts {
+		for k := 0; k < d; k++ {
+			if j, ok := index[v^1<<uint(k)]; ok {
+				eb.AddEdge(i, j)
+			}
+		}
+	}
+	return &Cube{d: d, f: f, verts: verts, g: eb.Build()}
+}
 
 // allFactors returns every factor word of length 1..maxLen — the full
 // grid, not just canonical representatives, so the equivalence sweep also
@@ -21,20 +47,21 @@ func allFactors(maxLen int) []bitstr.Word {
 	return out
 }
 
-// sameCube asserts byte-identical serialized form: vertex enumeration and
-// CSR graph, the strongest equivalence the store's artifact format can
-// express.
-func sameCube(t *testing.T, got, want *Cube) {
+// sameCube asserts that got serializes byte-identically to the
+// brute-force oracle for its (d, f): vertex enumeration and CSR graph,
+// the strongest equivalence the store's artifact format can express.
+func sameCube(t *testing.T, got *Cube) {
 	t.Helper()
-	if !bytes.Equal(got.AppendBinary(nil), want.AppendBinary(nil)) {
-		t.Fatalf("Q_%d(%s): incremental cube differs from New", want.D(), want.Factor())
+	if !bytes.Equal(got.AppendBinary(nil), bruteCube(got.D(), got.Factor()).AppendBinary(nil)) {
+		t.Fatalf("Q_%d(%s): constructed cube differs from the brute-force oracle", got.D(), got.Factor())
 	}
 }
 
-// TestColumnBuilderMatchesNew walks every |f| <= 4 column from d = 0 to
-// 12 through one ColumnBuilder per factor and demands byte-identical
-// verts + CSR against from-scratch construction at every step.
-func TestColumnBuilderMatchesNew(t *testing.T) {
+// TestColumnBuilderMatchesBruteForce walks every |f| <= 4 column from
+// d = 0 to 12 through one ColumnBuilder per factor, and builds every cell
+// again through New, demanding byte-identical verts + CSR against the
+// brute-force oracle at every step.
+func TestColumnBuilderMatchesBruteForce(t *testing.T) {
 	const maxD = 12
 	for _, f := range allFactors(4) {
 		b := NewColumnBuilder()
@@ -42,15 +69,29 @@ func TestColumnBuilderMatchesNew(t *testing.T) {
 			if d > 0 && !b.CanAdvance(d, f) {
 				t.Fatalf("CanAdvance(%d, %s) = false mid-column", d, f)
 			}
-			sameCube(t, b.Advance(d, f), New(d, f))
+			sameCube(t, b.Advance(d, f))
+			sameCube(t, New(d, f))
 		}
 	}
 }
 
+// TestNewLeavesColumnCounters pins that New, although it builds through
+// the column chain, does not count as column-cache traffic: the counters
+// describe sweep scheduling, not one-off constructions.
+func TestNewLeavesColumnCounters(t *testing.T) {
+	r0, b0 := ColumnCounters()
+	for d := 0; d <= 6; d++ {
+		New(d, bitstr.MustParse("101"))
+	}
+	if r1, b1 := ColumnCounters(); r1 != r0 || b1 != b0 {
+		t.Fatalf("New moved the column counters: reuse %d->%d rebuild %d->%d", r0, r1, b0, b1)
+	}
+}
+
 // TestColumnBuilderRebuilds covers the fallback paths: dimension jumps in
-// both directions and a factor switch must rebuild from scratch (bumping
-// the rebuild counter) and still produce exact cubes, re-seeding the
-// column so the next step is incremental again.
+// both directions and a factor switch must replay the column from d = 0
+// (bumping the rebuild counter) and still produce exact cubes, re-seeding
+// the column so the next step is incremental again.
 func TestColumnBuilderRebuilds(t *testing.T) {
 	f1 := bitstr.MustParse("11")
 	f2 := bitstr.MustParse("101")
@@ -72,7 +113,7 @@ func TestColumnBuilderRebuilds(t *testing.T) {
 		if can := b.CanAdvance(st.d, st.f); can != !wantRebuilds[i] {
 			t.Fatalf("step %d: CanAdvance(%d, %s) = %v, want %v", i, st.d, st.f, can, !wantRebuilds[i])
 		}
-		sameCube(t, b.Advance(st.d, st.f), New(st.d, st.f))
+		sameCube(t, b.Advance(st.d, st.f))
 		r1, b1 := ColumnCounters()
 		if wantRebuilds[i] && (b1 != b0+1 || r1 != r0) {
 			t.Fatalf("step %d: counters moved reuse %d->%d rebuild %d->%d, want a rebuild", i, r0, r1, b0, b1)
@@ -110,8 +151,8 @@ func TestColumnBuilderAdopt(t *testing.T) {
 	if !b.CanAdvance(8, f) {
 		t.Fatal("CanAdvance after Adopt = false")
 	}
-	sameCube(t, b.Advance(8, f), New(8, f))
-	sameCube(t, b.Advance(9, f), New(9, f))
+	sameCube(t, b.Advance(8, f))
+	sameCube(t, b.Advance(9, f))
 }
 
 // TestScratchCubeColumnPath drives the public Scratch entry point down an
@@ -123,7 +164,7 @@ func TestScratchCubeColumnPath(t *testing.T) {
 	ctx := context.Background()
 	for d := 0; d <= 11; d++ {
 		c := s.Cube(ctx, d, f)
-		sameCube(t, c, New(d, f))
+		sameCube(t, c)
 		for i := 0; i < c.N(); i++ {
 			w := c.Word(i)
 			if r, ok := c.Rank(w); !ok || r != i {
@@ -142,8 +183,8 @@ func TestScratchCubeColumnPath(t *testing.T) {
 }
 
 // FuzzColumnBuild drives arbitrary (factor, start dimension, step count)
-// columns through the incremental builder and cross-checks every produced
-// cube byte-for-byte against from-scratch construction.
+// columns through the incremental builder and New, and cross-checks every
+// produced cube byte-for-byte against the brute-force oracle.
 func FuzzColumnBuild(f *testing.F) {
 	f.Add(uint64(0b11), 2, 0, 6)
 	f.Add(uint64(0b1010), 4, 3, 5)
@@ -155,11 +196,8 @@ func FuzzColumnBuild(f *testing.F) {
 		factor := bitstr.Word{Bits: fb & (^uint64(0) >> uint(64-fn)), N: fn}
 		b := NewColumnBuilder()
 		for d := d0; d <= d0+steps; d++ {
-			got := b.Advance(d, factor)
-			want := New(d, factor)
-			if !bytes.Equal(got.AppendBinary(nil), want.AppendBinary(nil)) {
-				t.Fatalf("Q_%d(%s): incremental cube differs from New", d, factor)
-			}
+			sameCube(t, b.Advance(d, factor))
+			sameCube(t, New(d, factor))
 		}
 	})
 }

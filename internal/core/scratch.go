@@ -14,8 +14,8 @@ import (
 // scratch) and the MS-BFS engine's bitset planes. A fresh construction of
 // Q_20(11) costs ~53k allocations; through a warm Scratch the next column
 // cell costs a handful (the cube's own retained memory), and when the
-// cell continues the current column it skips enumeration and edge ranking
-// entirely (see ColumnBuilder).
+// cell continues the current column it is one extension step instead of
+// a replay from d = 0 (see ColumnBuilder).
 //
 // A Scratch is not safe for concurrent use; allocate one per goroutine.
 // The sweep engine does exactly that, one per worker.
@@ -41,7 +41,7 @@ func NewScratch() *Scratch {
 // Cube is New(d, f) with incremental reuse: cells that continue the
 // cached column (same factor, dimension d or d+1 of the cached cube) are
 // served by the column builder's O(|V|+|E|) step, and anything else
-// rebuilds from scratch through recycled buffers, re-seeding the column.
+// replays the column from Q_0(f) through recycled buffers, re-seeding it.
 // The context bounds provider loads only — cancellation between cells is
 // the sweep engine's job, and a pure in-memory build is not interruptible.
 // The returned cube owns its memory and remains valid after any further

@@ -161,7 +161,7 @@ func (s *Server) warmVerdicts(verdicts []store.Verdict) {
 		count := CountResponse{
 			Factor: v.Factor, D: v.D,
 			V: v.V, E: v.E, S: v.S,
-			Backend: "dp",
+			Backend: countBackend(v.D),
 			Source:  string(core.SourceStore),
 		}
 		s.cache.Put(fmt.Sprintf("count|%s|%d", v.Factor, v.D), count)

@@ -292,6 +292,18 @@ func (s *Server) neighborsExec(f factorParam, d int) BatchExec {
 	}
 }
 
+// countBackend labels a /v1/count answer at dimension d: "implicit+dp"
+// when d fits the implicit DFA-rank backend, on which countOne cross-checks
+// the DP's |V|, and "dp" beyond it. The label depends on d alone, and
+// computed answers (countOne) and warm-pack answers (warmVerdicts) both
+// take it from here, so one (f, d) reads the same on either path.
+func countBackend(d int) string {
+	if d <= bitstr.MaxLen {
+		return "implicit+dp"
+	}
+	return "dp"
+}
+
 // countOne answers one /v1/count query. It computes on the canonical
 // class representative — |V|, |E|, |S| are invariant under the
 // complement/reversal symmetry (the maps are cube isomorphisms), so the
@@ -306,7 +318,7 @@ func (s *Server) countOne(ctx context.Context, f factorParam, d int) (CountRespo
 	resp := CountResponse{
 		Factor: cf.s, D: d,
 		V: bc.V.String(), E: bc.E.String(), S: bc.S.String(),
-		Backend: "dp",
+		Backend: countBackend(d),
 		// The DP always runs fresh — the count itself is never loaded from
 		// disk, only warm-pack sidecar entries carry Source "store".
 		Source: string(core.SourceComputed),
@@ -319,7 +331,6 @@ func (s *Server) countOne(ctx context.Context, f factorParam, d int) (CountRespo
 		if got := strconv.FormatInt(view.Order(), 10); got != resp.V {
 			return CountResponse{}, fmt.Errorf("count mismatch for Q_%d(%s): implicit |V| = %s, DP |V| = %s", d, cf.s, got, resp.V)
 		}
-		resp.Backend = "implicit+dp"
 	}
 	return resp, nil
 }

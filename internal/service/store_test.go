@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -146,6 +147,42 @@ func TestWarmPackVerdictCache(t *testing.T) {
 	}
 	if !count.Cached || count.Factor != "00" {
 		t.Errorf("complement member: cached=%v factor=%q", count.Cached, count.Factor)
+	}
+}
+
+// A warm-pack /v1/count answer must read exactly like a computed one
+// once the per-request fields (elapsed, source, cached) are dropped —
+// the backend label included — for every packed cell and a non-canonical
+// class member.
+func TestWarmCountMatchesCold(t *testing.T) {
+	dir, man := testPack(t)
+	warm := httptest.NewServer(mustNew(t, Config{Workers: 4, JobTimeout: time.Minute, WarmPack: dir}).Handler())
+	defer warm.Close()
+	cold, _ := newTestServer(t)
+
+	stripped := func(url string) map[string]any {
+		t.Helper()
+		var body map[string]any
+		if code := getJSON(t, url, &body); code != http.StatusOK {
+			t.Fatalf("%s: status %d", url, code)
+		}
+		delete(body, "elapsed")
+		delete(body, "source")
+		delete(body, "cached")
+		return body
+	}
+	var queries []string
+	for _, cl := range core.Classes(man.MinLen, man.MaxLen) {
+		for d := 1; d <= man.MaxD; d++ {
+			queries = append(queries, fmt.Sprintf("/v1/count?f=%s&d=%d", cl.Rep, d))
+		}
+	}
+	queries = append(queries, "/v1/count?f=00&d=3")
+	for _, q := range queries {
+		w, c := stripped(warm.URL+q), stripped(cold.URL+q)
+		if !reflect.DeepEqual(w, c) {
+			t.Errorf("%s: warm %v, cold %v", q, w, c)
+		}
 	}
 }
 

@@ -12,8 +12,8 @@
 // warm-up. Tasks are handed out column-affine: a contiguous run of tasks
 // on the same factor class goes to one worker as a unit, so the scratch's
 // incremental column builder turns each ascending-d class column into a
-// chain of O(|V|+|E|) extension steps instead of independent from-scratch
-// builds (see core.ColumnBuilder). Results are re-sequenced before
+// chain of O(|V|+|E|) extension steps instead of one replay from d = 0
+// per cell (see core.ColumnBuilder). Results are re-sequenced before
 // delivery: consumers always see them in task order regardless of which
 // worker finished first, which makes parallel runs byte-for-byte
 // comparable with serial ones. Cancellation is cooperative — pending
